@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-full lint lint-fixtures bench bench-study trace-smoke chaos chaos-distributed predictd-smoke profile fmt
+.PHONY: build test race race-full lint lint-fixtures bench bench-study e2ebench trace-smoke chaos chaos-distributed predictd-smoke profile fmt
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,12 @@ bench:
 # and writes BENCH_study.json (the CI benchmark smoke artifact).
 bench-study:
 	$(GO) run ./cmd/benchstudy -out BENCH_study.json
+
+# e2ebench runs the repository benchmark (e2ebench/, BENCHMARK.json), one
+# workload per run; ARGS pass through to e2ebench/run.sh, e.g.
+#   make e2ebench ARGS='--workload study-probes --seed 1 --seconds 30 --trace 0'
+e2ebench:
+	bash e2ebench/run.sh $(ARGS)
 
 # trace-smoke runs a traced 1-app study slice and validates the
 # observability artifacts: the span log must parse and cover every phase,

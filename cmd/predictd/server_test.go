@@ -96,7 +96,7 @@ func TestListingsAndHealth(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, layer := range []string{"probes", "cells", "predictions", "observations"} {
+	for _, layer := range []string{"probes", "cells", "predictions", "observations", "counts"} {
 		if _, ok := stats[layer]; !ok {
 			t.Errorf("/v1/cache missing layer %q: %v", layer, stats)
 		}
@@ -119,6 +119,43 @@ func TestListingsAndHealth(t *testing.T) {
 		if !strings.Contains(string(body), "predictd_predict_requests_total") {
 			t.Errorf("/metrics exposition missing predictd_predict_requests_total:\n%s", body)
 		}
+	}
+}
+
+// TestCacheShowsCountMemo: /v1/cache reports the memsim count memo as
+// the "counts" layer. MHPCC_690_1.3 and ARL_690_1.7 share a counter
+// geometry, so the second machine's cold probe suite counts nothing new.
+func TestCacheShowsCountMemo(t *testing.T) {
+	_, _, ts := newTestServer(t, serverConfig{workers: 2, queueLimit: 4, requestTimeout: time.Minute})
+	counts := func() predictor.CacheStat {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/v1/cache")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/cache = %d: %s", resp.StatusCode, body)
+		}
+		var stats map[string]predictor.CacheStat
+		if err := json.Unmarshal(body, &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats["counts"]
+	}
+	predict := func(target string) {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/v1/predict?app=rfcth&procs=16&metric=9&target="+target)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict on %s = %d: %s", target, resp.StatusCode, body)
+		}
+	}
+	predict(machine.MHPCC690)
+	first := counts()
+	predict(machine.ARL690)
+	second := counts()
+	if second.Hits <= first.Hits || second.Hits == 0 {
+		t.Errorf("counts hits %d after the first machine, %d after the second: want hits that grow", first.Hits, second.Hits)
+	}
+	if second.Misses != first.Misses {
+		t.Errorf("counts misses %d after the first machine, %d after the second: the shared geometry should count nothing new",
+			first.Misses, second.Misses)
 	}
 }
 

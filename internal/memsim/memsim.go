@@ -1,7 +1,14 @@
 // Package memsim simulates a machine's memory hierarchy.
 //
-// A Simulator is built from a machine.Config and consumes a byte-address
-// reference stream. It models:
+// The simulator has two halves. Counting (Simulator, Count) runs a
+// byte-address reference stream through the machine's caches,
+// prefetcher and TLB and yields Stats; it depends only on the counter
+// geometry. Pricing (Price) turns Stats into cycles and seconds under
+// the machine's clock, latencies, bandwidths and memory-level
+// parallelism. Because counting is the expensive half, a Memo carried in
+// the context counts each (geometry, stream, length) once and lets every
+// machine and pricing option that shares the geometry reuse it. The
+// halves together model:
 //
 //   - multi-level inclusive set-associative caches with LRU replacement
 //     and write-allocate stores;
@@ -207,11 +214,13 @@ func (s *Simulator) ResetStats() {
 }
 
 // Stats returns a copy of the accumulated counters.
-func (s *Simulator) Stats() Stats {
-	out := s.stats
-	out.ServedBy = append([]int64(nil), s.stats.ServedBy...)
-	out.Covered = append([]int64(nil), s.stats.Covered...)
-	return out
+func (s *Simulator) Stats() Stats { return s.stats.clone() }
+
+// clone returns a deep copy of the counters.
+func (s Stats) clone() Stats {
+	s.ServedBy = append([]int64(nil), s.ServedBy...)
+	s.Covered = append([]int64(nil), s.Covered...)
+	return s
 }
 
 // Machine returns the configuration the simulator was built from.

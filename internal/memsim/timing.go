@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"context"
+
 	"hpcmetrics/internal/access"
 	"hpcmetrics/internal/machine"
 )
@@ -37,7 +39,17 @@ func (t Timing) CyclesPerRef() float64 {
 	return t.Cycles / float64(t.Refs)
 }
 
-// Timing prices the accumulated statistics under the machine's parameters.
+// Timing prices the accumulated statistics under the machine's
+// parameters; see Price.
+func (s *Simulator) Timing(opts TimingOpts) Timing {
+	return Price(s.cfg, s.Stats(), opts)
+}
+
+// Price is the pricing half of the simulator: it turns counters into
+// cycles and seconds under the machine's clock, latencies, bandwidths and
+// memory-level parallelism. Of the counter geometry it reads only the
+// line sizes, so the Stats of one Count price correctly on every machine
+// that shares the geometry (see Memo); cfg must be such a machine.
 //
 // The model, per reference class (see package comment):
 //
@@ -49,17 +61,15 @@ func (t Timing) CyclesPerRef() float64 {
 //	             bus bandwidth of the bytes actually moved;
 //	TLB          each miss pays the page-walk penalty, MLP-overlapped;
 //	write-backs  pay memory bus bandwidth.
-func (s *Simulator) Timing(opts TimingOpts) Timing {
-	cfg := s.cfg
-	st := s.Stats()
-	nLevels := len(s.levels)
+func Price(cfg *machine.Config, st Stats, opts TimingOpts) Timing {
+	nLevels := len(cfg.Caches)
 
 	mlp := cfg.MaxOutstandingMisses
 	if opts.MLPCap > 0 && opts.MLPCap < mlp {
 		mlp = opts.MLPCap
 	}
 
-	l1 := &s.levels[0].cfg
+	l1 := &cfg.Caches[0]
 	issuePerRef := 1.0 / cfg.LoadStorePerCycle
 	if dp := float64(access.ElemBytes) / l1.BandwidthBytesPerCycle; dp > issuePerRef {
 		issuePerRef = dp
@@ -71,8 +81,8 @@ func (s *Simulator) Timing(opts TimingOpts) Timing {
 
 	// Cache levels 1..n-1: filled from level i's own array.
 	for i := 1; i < nLevels; i++ {
-		lvl := &s.levels[i].cfg
-		innerLine := float64(s.levels[i-1].cfg.LineBytes)
+		lvl := &cfg.Caches[i]
+		innerLine := float64(cfg.Caches[i-1].LineBytes)
 		covered := float64(st.Covered[i])
 		uncovered := float64(st.ServedBy[i]) - covered
 		cycles += covered * (innerLine / lvl.BandwidthBytesPerCycle)
@@ -84,10 +94,10 @@ func (s *Simulator) Timing(opts TimingOpts) Timing {
 	// write-backs move only the innermost line — outer caches are
 	// sectored, and critical-word-first delivery means a random miss does
 	// not pay for the whole outer line on the bus.
-	llcLine := float64(s.levels[nLevels-1].cfg.LineBytes)
+	llcLine := float64(cfg.Caches[nLevels-1].LineBytes)
 	// Demand fills deliver the critical 64-byte sector first; wide-line
 	// machines do not pay their whole line on the bus per random miss.
-	demandLine := float64(s.levels[0].cfg.LineBytes)
+	demandLine := float64(cfg.Caches[0].LineBytes)
 	if demandLine > 64 {
 		demandLine = 64
 	}
@@ -143,18 +153,20 @@ func (s *Simulator) RunStream(spec access.StreamSpec, n int, opts TimingOpts) (T
 	return s.Timing(opts), nil
 }
 
-// SimulateStream is the one-shot convenience: fresh simulator, a warm-up
-// quarter of the stream to reach steady state (discarded from the
-// statistics, as in the real probes' untimed first pass), then n priced
-// references.
-func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
+// Count is the counting half of the simulator: a fresh simulator, a
+// warm-up quarter of the stream to reach steady state (discarded from the
+// statistics, as in the real probes' untimed first pass), then n counted
+// references. The counters depend only on the machine's counter geometry
+// (cache sizes, lines and associativity, the prefetcher and the TLB),
+// never on its clock, latencies or bandwidths.
+func Count(cfg *machine.Config, spec access.StreamSpec, n int) (Stats, error) {
 	sim, err := New(cfg)
 	if err != nil {
-		return Timing{}, err
+		return Stats{}, err
 	}
 	stream, err := access.NewStream(spec)
 	if err != nil {
-		return Timing{}, err
+		return Stats{}, err
 	}
 	for i := 0; i < n/4; i++ {
 		ref := stream.Next()
@@ -165,5 +177,21 @@ func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts Tim
 		ref := stream.Next()
 		sim.Access(ref.Addr, ref.Store)
 	}
-	return sim.Timing(opts), nil
+	return sim.Stats(), nil
+}
+
+// SimulateStream is the one-shot convenience: Count, then Price.
+func SimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
+	return SimulateStreamContext(context.Background(), cfg, spec, n, opts)
+}
+
+// SimulateStreamContext is SimulateStream counting through the context's
+// Memo, when it carries one, so a stream already counted on the same
+// counter geometry is priced without being simulated again.
+func SimulateStreamContext(ctx context.Context, cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
+	st, err := MemoFrom(ctx).Count(ctx, cfg, spec, n)
+	if err != nil {
+		return Timing{}, err
+	}
+	return Price(cfg, st, opts), nil
 }

@@ -23,6 +23,7 @@ import (
 
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/machine"
+	"hpcmetrics/internal/memsim"
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/par"
 	"hpcmetrics/internal/probes"
@@ -146,6 +147,9 @@ type Predictor struct {
 	cellCache    *cache
 	predictCache *cache
 	observeCache *cache
+	// counts memoizes memsim stream counts across every probe suite and
+	// execution this Predictor runs (see memsim.Memo).
+	counts *memsim.Memo
 }
 
 // Config tunes a Predictor.
@@ -164,6 +168,7 @@ func New(cfg Config) *Predictor {
 		cellCache:    newCache("predictor_cell_cache", "cell"),
 		predictCache: newCache("predictor_predict_cache", "predict"),
 		observeCache: newCache("predictor_observe_cache", "observe"),
+		counts:       memsim.NewMemo(),
 	}
 }
 
@@ -298,6 +303,7 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx = p.counts.Inject(ctx)
 	var agg outcomeAgg
 	basePr, kind, err := p.probesFor(ctx, p.base)
 	if err != nil {
@@ -411,27 +417,25 @@ type CacheStat struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
+	// Evictions counts entries pushed out by a bounded layer's capacity.
+	Evictions int64 `json:"evictions,omitempty"`
 }
 
 // CacheStats reports each memoization layer's keyspace size and
 // hit/miss/coalesce traffic — the backing for /v1/cache and /v1/status.
 // The counts are the predictor's own (process-lifetime), independent of
-// any obs registry on request contexts.
+// any obs registry on request contexts. The "counts" layer is the
+// memsim stream-count memo beneath the probe and execution layers.
 func (p *Predictor) CacheStats() map[string]CacheStat {
+	counts := p.counts.Snapshot()
 	return map[string]CacheStat{
 		"probes":       p.probeCache.stat(),
 		"cells":        p.cellCache.stat(),
 		"predictions":  p.predictCache.stat(),
 		"observations": p.observeCache.stat(),
+		"counts": {
+			Keys: counts.Keys, Hits: counts.Hits, Misses: counts.Misses,
+			Coalesced: counts.Coalesced, Evictions: counts.Evictions,
+		},
 	}
-}
-
-// CacheSizes reports how many keys each memoization layer holds, for
-// introspection endpoints and tests.
-func (p *Predictor) CacheSizes() map[string]int {
-	sizes := make(map[string]int, 4)
-	for layer, st := range p.CacheStats() {
-		sizes[layer] = st.Keys
-	}
-	return sizes
 }

@@ -110,7 +110,7 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 		t.Errorf("repeat request outcome %q, want cached (every layer settled)", res.Outcome)
 	}
 	stats := p.CacheStats()
-	for _, layer := range []string{"probes", "cells", "predictions", "observations"} {
+	for _, layer := range []string{"probes", "cells", "predictions", "observations", "counts"} {
 		if _, ok := stats[layer]; !ok {
 			t.Errorf("CacheStats missing layer %q: %v", layer, stats)
 		}
@@ -126,6 +126,13 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 	}
 	if st := stats["observations"]; st.Keys != 0 {
 		t.Errorf("observations layer stat = %+v, want untouched", st)
+	}
+	// The probe suites and the base run counted their streams through
+	// the predictor's memo: the ENHANCED MAPS sweeps hit the plain ones.
+	if st := stats["counts"]; st.Misses == 0 || st.Hits == 0 || st.Keys != int(st.Misses) ||
+		st.Misses != meter.Counter("memsim_count_misses_total").Value() {
+		t.Errorf("counts layer stat = %+v, want hits, one key per miss, misses = memsim_count_misses_total (%d)",
+			st, meter.Counter("memsim_count_misses_total").Value())
 	}
 	if math.Float64bits(res.PredictedSeconds) != want {
 		t.Errorf("cached prediction %v differs from cold %v", res.PredictedSeconds, results[0].PredictedSeconds)

@@ -132,6 +132,10 @@ const (
 // Unlike the single-CPU memory probes, HPL is a parallel benchmark — every
 // core runs, so its memory traffic sees the loaded node.
 func HPL(cfg *machine.Config) (float64, error) {
+	return hpl(context.Background(), cfg)
+}
+
+func hpl(ctx context.Context, cfg *machine.Config) (float64, error) {
 	cfg = cfg.Loaded()
 	work := cpusim.Work{Flops: 64, IntOps: 8, FPChainLen: 2}
 	cpu, err := cpusim.Time(cfg, work)
@@ -148,7 +152,7 @@ func HPL(cfg *machine.Config) (float64, error) {
 		StoreFraction:    0.25,
 		Seed:             0xD6E3,
 	}
-	memT, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
+	memT, err := memsim.SimulateStreamContext(ctx, cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -160,13 +164,17 @@ func HPL(cfg *machine.Config) (float64, error) {
 // STREAM measures unit-stride main-memory bandwidth (triad: two loads and
 // one store per element).
 func STREAM(cfg *machine.Config) (float64, error) {
+	return stream(context.Background(), cfg)
+}
+
+func stream(ctx context.Context, cfg *machine.Config) (float64, error) {
 	spec := access.StreamSpec{
 		WorkingSetBytes: streamWS,
 		Mix:             access.Mix{Unit: 1},
 		StoreFraction:   1.0 / 3.0,
 		Seed:            0x57EA,
 	}
-	t, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
+	t, err := memsim.SimulateStreamContext(ctx, cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -175,13 +183,17 @@ func STREAM(cfg *machine.Config) (float64, error) {
 
 // GUPS measures random-access update throughput (references/second).
 func GUPS(cfg *machine.Config) (float64, error) {
+	return gups(context.Background(), cfg)
+}
+
+func gups(ctx context.Context, cfg *machine.Config) (float64, error) {
 	spec := access.StreamSpec{
 		WorkingSetBytes: gupsWS,
 		Mix:             access.Mix{Random: 1},
 		StoreFraction:   0.5, // read-modify-write
 		Seed:            0x9B5,
 	}
-	t, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
+	t, err := memsim.SimulateStreamContext(ctx, cfg, spec, simexec.SampleSize(spec), memsim.TimingOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -206,12 +218,16 @@ const (
 // MAPS): misses cannot overlap and every element feeds an FP-latency
 // chain.
 func MAPS(cfg *machine.Config, kind MAPSKind, sizes []int64, dependent bool) (Curve, error) {
+	return sweep(context.Background(), cfg, kind, sizes, dependent)
+}
+
+func sweep(ctx context.Context, cfg *machine.Config, kind MAPSKind, sizes []int64, dependent bool) (Curve, error) {
 	if len(sizes) == 0 {
 		sizes = MAPSSizes
 	}
 	curve := Curve{SizesBytes: append([]int64(nil), sizes...)}
 	for _, ws := range sizes {
-		rate, err := mapsPoint(cfg, kind, ws, dependent)
+		rate, err := mapsPoint(ctx, cfg, kind, ws, dependent)
 		if err != nil {
 			return Curve{}, err
 		}
@@ -220,7 +236,7 @@ func MAPS(cfg *machine.Config, kind MAPSKind, sizes []int64, dependent bool) (Cu
 	return curve, curve.Validate()
 }
 
-func mapsPoint(cfg *machine.Config, kind MAPSKind, ws int64, dependent bool) (float64, error) {
+func mapsPoint(ctx context.Context, cfg *machine.Config, kind MAPSKind, ws int64, dependent bool) (float64, error) {
 	spec := access.StreamSpec{
 		WorkingSetBytes: ws,
 		StoreFraction:   0.25,
@@ -238,7 +254,7 @@ func mapsPoint(cfg *machine.Config, kind MAPSKind, ws int64, dependent bool) (fl
 	if dependent {
 		opts.MLPCap = simexec.DependentMLP
 	}
-	t, err := memsim.SimulateStream(cfg, spec, simexec.SampleSize(spec), opts)
+	t, err := memsim.SimulateStreamContext(ctx, cfg, spec, simexec.SampleSize(spec), opts)
 	if err != nil {
 		return 0, err
 	}
@@ -289,8 +305,13 @@ func Measure(cfg *machine.Config) (*Results, error) {
 // MeasureContext is Measure with cancellation and tracing: the study
 // harness probes machines concurrently, so the context is consulted
 // between probes, and the whole suite is one "probe" span when the
-// context carries a tracer.
+// context carries a tracer. Streams are counted through the context's
+// memsim.Memo, or through one local to the call when it carries none,
+// so the ENHANCED MAPS sweeps always reuse the plain MAPS counts.
 func MeasureContext(ctx context.Context, cfg *machine.Config) (*Results, error) {
+	if memsim.MemoFrom(ctx) == nil {
+		ctx = memsim.NewMemo().Inject(ctx)
+	}
 	_, span := obs.StartSpan(ctx, "probe")
 	defer span.End()
 	if err := cfg.Validate(); err != nil {
@@ -303,13 +324,13 @@ func MeasureContext(ctx context.Context, cfg *machine.Config) (*Results, error) 
 		name string
 		run  func() error
 	}{
-		{"hpl", func() (err error) { res.HPLFlopsPerSec, err = HPL(cfg); return err }},
-		{"stream", func() (err error) { res.StreamBytesPerSec, err = STREAM(cfg); return err }},
-		{"gups", func() (err error) { res.GUPSRefsPerSec, err = GUPS(cfg); return err }},
-		{"maps-unit", func() (err error) { res.MAPSUnit, err = MAPS(cfg, MAPSUnitStride, nil, false); return err }},
-		{"maps-random", func() (err error) { res.MAPSRandom, err = MAPS(cfg, MAPSRandomStride, nil, false); return err }},
-		{"dep-unit", func() (err error) { res.DepUnit, err = MAPS(cfg, MAPSUnitStride, nil, true); return err }},
-		{"dep-random", func() (err error) { res.DepRandom, err = MAPS(cfg, MAPSRandomStride, nil, true); return err }},
+		{"hpl", func() (err error) { res.HPLFlopsPerSec, err = hpl(ctx, cfg); return err }},
+		{"stream", func() (err error) { res.StreamBytesPerSec, err = stream(ctx, cfg); return err }},
+		{"gups", func() (err error) { res.GUPSRefsPerSec, err = gups(ctx, cfg); return err }},
+		{"maps-unit", func() (err error) { res.MAPSUnit, err = sweep(ctx, cfg, MAPSUnitStride, nil, false); return err }},
+		{"maps-random", func() (err error) { res.MAPSRandom, err = sweep(ctx, cfg, MAPSRandomStride, nil, false); return err }},
+		{"dep-unit", func() (err error) { res.DepUnit, err = sweep(ctx, cfg, MAPSUnitStride, nil, true); return err }},
+		{"dep-random", func() (err error) { res.DepRandom, err = sweep(ctx, cfg, MAPSRandomStride, nil, true); return err }},
 		{"netbench", func() (err error) { res.Net, err = Netbench(cfg); return err }},
 	}
 	for _, step := range steps {

@@ -113,7 +113,9 @@ func Execute(cfg *machine.Config, app *workload.App) (*Result, error) {
 // in-flight work. The context is consulted between basic blocks — the
 // unit of simulation cost — so cancellation takes effect within one
 // block's cache-stream sample. The same boundary is the
-// faults.PointExecBlock injection point, keyed by (machine, app).
+// faults.PointExecBlock injection point, keyed by (machine, app). Block
+// streams are counted through the context's memsim.Memo when it carries
+// one.
 func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "exec")
 	defer span.End()
@@ -147,7 +149,7 @@ func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App)
 			return nil, fmt.Errorf("simexec: %s on %s: %w", app.ID(), cfg.Name, err)
 		}
 		blk := &app.Blocks[i]
-		br, err := executeBlock(cfg, blk, hz)
+		br, err := executeBlock(ctx, cfg, blk, hz)
 		if err != nil {
 			return nil, fmt.Errorf("simexec: %s/%s: %w", app.ID(), blk.Name, err)
 		}
@@ -165,13 +167,13 @@ func ExecuteContext(ctx context.Context, cfg *machine.Config, app *workload.App)
 	return res, nil
 }
 
-func executeBlock(cfg *machine.Config, blk *workload.Block, hz float64) (BlockResult, error) {
+func executeBlock(ctx context.Context, cfg *machine.Config, blk *workload.Block, hz float64) (BlockResult, error) {
 	opts := memsim.TimingOpts{}
 	if blk.DependentMemory {
 		opts.MLPCap = DependentMLP
 	}
 	sample := SampleSize(blk.Stream)
-	memT, err := memsim.SimulateStream(cfg, blk.Stream, sample, opts)
+	memT, err := memsim.SimulateStreamContext(ctx, cfg, blk.Stream, sample, opts)
 	if err != nil {
 		return BlockResult{}, err
 	}

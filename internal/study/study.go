@@ -24,6 +24,7 @@ import (
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/faults"
 	"hpcmetrics/internal/machine"
+	"hpcmetrics/internal/memsim"
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/par"
@@ -441,6 +442,9 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	ctx = opts.Obs.Inject(ctx)
 	ctx = opts.Faults.Inject(ctx)
+	// One count memo per run: machines sharing a counter geometry share
+	// their probe and executor stream counts, and a fresh run recomputes.
+	ctx = memsim.NewMemo().Inject(ctx)
 	ctx, studySpan := obs.StartSpan(ctx, "study")
 	defer studySpan.End()
 	base := machine.Base()
