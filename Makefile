@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-full lint lint-fixtures bench bench-study e2ebench trace-smoke chaos chaos-distributed predictd-smoke profile fmt
+.PHONY: build test race race-full lint lint-fixtures bench bench-kernels bench-study e2ebench trace-smoke chaos chaos-distributed predictd-smoke profile fmt
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,15 @@ lint-fixtures:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# bench-kernels runs the per-reference kernel micro-benchmarks, five runs
+# each: the access generator and stride/footprint detector in ns/ref (a
+# mixed and a random stream, detected at the tracer's 512-byte footprint
+# granularity), and memsim's cache kernel, whose op is one reference.
+# BENCH_kernels.json records medians of these runs; no gate reads it.
+bench-kernels:
+	$(GO) test -run '^$$' -bench '^(BenchmarkGenerate|BenchmarkDetectorObserve)$$' -benchtime 5x -count 5 ./internal/access
+	$(GO) test -run '^$$' -bench '^BenchmarkAccess' -count 5 ./internal/memsim
 
 # bench-study times sequential vs parallel study.Run on the -short slice
 # and writes BENCH_study.json (the CI benchmark smoke artifact).

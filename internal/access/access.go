@@ -96,7 +96,7 @@ type Ref struct {
 // rng is splitmix64: tiny, fast, deterministic across platforms.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed + 0x9e3779b97f4a7c15} }
+func newRNG(seed uint64) rng { return rng{state: seed + 0x9e3779b97f4a7c15} }
 
 func (r *rng) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -104,11 +104,6 @@ func (r *rng) next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0,1).
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
 }
 
 // intn returns a uniform value in [0,n). A non-positive bound panics: it

@@ -49,16 +49,17 @@ func TestGenerateSeedChangesRandomComponent(t *testing.T) {
 func TestGenerateRejectsBadSpecs(t *testing.T) {
 	bad := []StreamSpec{
 		{WorkingSetBytes: 0, Mix: Mix{Unit: 1}},
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                           // doesn't sum to 1
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                 // negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},        // stride 1 is not "short"
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},       // too long
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},         // bad fraction
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},           // negative spread
-		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                               // negative ws
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},  // sums to 1.2
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}}, // tiny negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},         // spread overflows int64
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                              // doesn't sum to 1
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                    // negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},           // stride 1 is not "short"
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},          // too long
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},            // bad fraction
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},              // negative spread
+		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                                  // negative ws
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},     // sums to 1.2
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}},    // tiny negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},            // spread overflows int64
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, HotFraction: 0.5, HotBytes: 4}, // hot region below one element
 	}
 	for i, spec := range bad {
 		if _, err := Generate(spec, 10); err == nil {

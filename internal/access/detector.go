@@ -17,7 +17,7 @@ type Detector struct {
 	counts   [numClasses]int64
 	stores   int64
 	total    int64
-	lines    map[uint64]struct{}
+	lines    lineSet
 	gran     int64
 }
 
@@ -43,9 +43,12 @@ func NewDetector(n int) *Detector {
 }
 
 // NewDetectorGranularity is NewDetector with a chosen working-set counting
-// granularity in bytes. Long traces (the tracer observes millions of
-// references) use a coarse granularity to bound the line-set memory while
-// keeping the estimate within a factor adequate for cache-size comparisons.
+// granularity in bytes. The distinct lines are counted exactly in a
+// sparse bitset that costs one 512-byte page for every 4096-line range
+// the stream touches, so a coarser granularity covers more bytes per
+// page: long traces (the tracer observes millions of references) use one
+// to bound the set's memory while keeping the estimate within a factor
+// adequate for cache-size comparisons.
 func NewDetectorGranularity(n int, granularity int64) *Detector {
 	if n <= 0 {
 		n = DefaultTrackers
@@ -55,7 +58,7 @@ func NewDetectorGranularity(n int, granularity int64) *Detector {
 	}
 	return &Detector{
 		trackers: make([]tracker, n),
-		lines:    make(map[uint64]struct{}),
+		lines:    lineSet{pages: make(map[uint64]*linePage)},
 		gran:     granularity,
 	}
 }
@@ -68,7 +71,7 @@ func (d *Detector) Observe(ref Ref) Class {
 	if ref.Store {
 		d.stores++
 	}
-	d.lines[ref.Addr/uint64(d.gran)] = struct{}{}
+	d.lines.add(ref.Addr / uint64(d.gran))
 
 	const maxDelta = MaxShortStride * ElemBytes
 	class := ClassRandom
@@ -85,16 +88,12 @@ func (d *Detector) Observe(ref Ref) Class {
 		if delta > maxDelta {
 			continue
 		}
-		switch {
-		case delta <= ElemBytes:
-			// Same element or the adjacent one: contiguous access.
+		// Same element or the adjacent one is contiguous access; any
+		// other delta in short range, sub-element misalignment included,
+		// walks the same lines as a short stride.
+		class = ClassShort
+		if delta <= ElemBytes {
 			class = ClassUnit
-		case delta%ElemBytes == 0:
-			class = ClassShort
-		default:
-			// Sub-element misalignment within short range still walks the
-			// same lines; bin it with short strides.
-			class = ClassShort
 		}
 		matched = i
 		break
@@ -120,6 +119,50 @@ func (d *Detector) Observe(ref Ref) Class {
 
 	d.counts[class]++
 	return class
+}
+
+// lineSet counts distinct line numbers exactly. Lines are grouped into
+// pages of 1<<pageBits lines held as bitmaps in a map, and a small
+// direct-mapped cache of recently used pages spares the map lookup for
+// the handful of pages a loop's walkers are in at any moment.
+type lineSet struct {
+	pages    map[uint64]*linePage
+	cache    [1 << pageCacheBits]pageCacheEntry
+	distinct int64
+}
+
+const (
+	pageBits      = 12 // 4096 lines per page
+	pageCacheBits = 3  // 8 cached pages
+)
+
+// linePage is the bitmap of one page's lines: 512 bytes.
+type linePage [(1 << pageBits) / 64]uint64
+
+type pageCacheEntry struct {
+	key  uint64
+	page *linePage // nil while the slot is empty
+}
+
+// add records a line, counting it if it is new.
+func (s *lineSet) add(line uint64) {
+	key := line >> pageBits
+	// Fibonacci hashing spreads consecutive page numbers over the slots.
+	e := &s.cache[(key*0x9e3779b97f4a7c15)>>(64-pageCacheBits)]
+	if e.page == nil || e.key != key {
+		p := s.pages[key]
+		if p == nil {
+			p = new(linePage)
+			s.pages[key] = p
+		}
+		e.key, e.page = key, p
+	}
+	bit := line & (1<<pageBits - 1)
+	word, mask := &e.page[bit/64], uint64(1)<<(bit%64)
+	if *word&mask == 0 {
+		*word |= mask
+		s.distinct++
+	}
 }
 
 // Summary is the detector's verdict over everything observed so far.
@@ -151,7 +194,7 @@ func (d *Detector) Summary() Summary {
 	for c := Class(0); c < numClasses; c++ {
 		s.Counts[c] = d.counts[c]
 	}
-	s.WorkingSetBytes = int64(len(d.lines)) * d.gran
+	s.WorkingSetBytes = d.lines.distinct * d.gran
 	if d.total > 0 {
 		s.StoreFraction = float64(d.stores) / float64(d.total)
 	}

@@ -1,6 +1,9 @@
 package access
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StreamSpec describes the reference stream one basic block emits.
 type StreamSpec struct {
@@ -53,6 +56,10 @@ func (s StreamSpec) Validate() error {
 	if s.HotBytes < 0 {
 		return fmt.Errorf("access: negative hot region %d", s.HotBytes)
 	}
+	if s.HotBytes > 0 && s.HotBytes < ElemBytes {
+		// A region below one element has no slot to revisit.
+		return fmt.Errorf("access: hot region %d below one element", s.HotBytes)
+	}
 	return nil
 }
 
@@ -63,15 +70,21 @@ func (s StreamSpec) Validate() error {
 // rather than arriving in long per-class runs.
 type generator struct {
 	spec     StreamSpec
-	r        *rng
+	r        rng
 	elems    int64 // working set in elements
 	base     uint64
-	unitPos  int64
-	shortPos int64
 	stride   int64
 	spread   int64 // random region in elements
 	hotElems int64
-	hotPos   int64
+	// unitIdx, shortIdx and hotIdx are the walkers' element positions,
+	// kept reduced modulo their region so no step divides.
+	unitIdx  int64
+	shortIdx int64
+	hotIdx   int64
+	// hotBelow and storeBelow are HotFraction and StoreFraction as
+	// thresholds on a 53-bit draw (see drawBelow).
+	hotBelow   uint64
+	storeBelow uint64
 	// errAccum implements largest-remainder scheduling of the three
 	// classes so exact proportions hold even for short streams.
 	errAccum [numClasses]float64
@@ -113,15 +126,33 @@ func newGenerator(spec StreamSpec) (*generator, error) {
 		hotBytes = 16 << 10
 	}
 	return &generator{
-		spec:     spec,
-		r:        newRNG(spec.Seed),
-		elems:    elems,
-		base:     baseAddr + (spec.Seed%4096)*(1<<28),
-		stride:   stride,
-		spread:   spread,
-		hotElems: hotBytes / ElemBytes,
+		spec:       spec,
+		r:          newRNG(spec.Seed),
+		elems:      elems,
+		base:       baseAddr + (spec.Seed%4096)*(1<<28),
+		stride:     stride,
+		spread:     spread,
+		hotElems:   hotBytes / ElemBytes,
+		hotBelow:   drawThreshold(spec.HotFraction),
+		storeBelow: drawThreshold(spec.StoreFraction),
 	}, nil
 }
+
+// drawThreshold converts a probability p <= 1 into the threshold t for
+// which a 53-bit draw k satisfies k < t exactly when k/2^53 < p, the
+// float comparison it replaces. Scaling by 2^53 is exact, so k/2^53 < p
+// holds for integer k iff k < ceil(p*2^53). A p that is not above zero,
+// NaN included, never wins.
+func drawThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// drawBelow draws the next 53-bit value and reports whether it falls
+// below the threshold t.
+func (r *rng) drawBelow(t uint64) bool { return r.next()>>11 < t }
 
 // pickClass chooses the next reference's class by largest accumulated
 // deficit, which realizes the mix exactly without random clumping.
@@ -139,24 +170,33 @@ func (g *generator) pickClass() Class {
 	return best
 }
 
+// next draws the hot decision (only when HotFraction > 0), then the
+// class and any random target, then the store decision, always in that
+// order: the draw sequence is part of the stream's identity.
 func (g *generator) next() Ref {
-	if g.spec.HotFraction > 0 && g.r.float64() < g.spec.HotFraction {
-		addr := g.base + uint64(3)<<27 + uint64(g.hotPos%g.hotElems)*ElemBytes
-		g.hotPos++
-		return Ref{Addr: addr, Store: g.r.float64() < g.spec.StoreFraction}
+	if g.hotBelow > 0 && g.r.drawBelow(g.hotBelow) {
+		addr := g.base + uint64(3)<<27 + uint64(g.hotIdx)*ElemBytes
+		if g.hotIdx++; g.hotIdx == g.hotElems {
+			g.hotIdx = 0
+		}
+		return Ref{Addr: addr, Store: g.r.drawBelow(g.storeBelow)}
 	}
 	var addr uint64
 	switch g.pickClass() {
 	case ClassUnit:
-		addr = g.base + uint64(g.unitPos%g.elems)*ElemBytes
-		g.unitPos++
+		addr = g.base + uint64(g.unitIdx)*ElemBytes
+		if g.unitIdx++; g.unitIdx == g.elems {
+			g.unitIdx = 0
+		}
 	case ClassShort:
-		addr = g.base + uint64(1)<<27 + uint64(g.shortPos%g.elems)*ElemBytes
-		g.shortPos += g.stride
+		addr = g.base + uint64(1)<<27 + uint64(g.shortIdx)*ElemBytes
+		if g.shortIdx += g.stride; g.shortIdx >= g.elems {
+			g.shortIdx %= g.elems // the stride may exceed a tiny region
+		}
 	default:
 		addr = g.base + uint64(2)<<27 + uint64(g.r.intn(g.spread))*ElemBytes
 	}
-	return Ref{Addr: addr, Store: g.r.float64() < g.spec.StoreFraction}
+	return Ref{Addr: addr, Store: g.r.drawBelow(g.storeBelow)}
 }
 
 // Generate produces n deterministic references for the spec. The same

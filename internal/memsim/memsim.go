@@ -25,6 +25,15 @@
 // application executor and the synthetic memory probes (STREAM, GUPS,
 // MAPS) run on it, so observed times and probe rates are self-consistent,
 // as they are on real hardware.
+//
+// Each cache level keeps its tags in one flat []uint64 strided by the
+// associativity: set s occupies ways [s*ways, (s+1)*ways), most recently
+// used first. A way holds the line number with the dirty bit packed into
+// bit 63, and emptyWay marks a way not yet filled; filled ways always
+// precede empty ones. A hit moves its way to the front and a fill shifts
+// the set down by one, dropping the last (least recently used) way. Line
+// numbers must leave bits 62 and 63 clear for this packing, so New
+// refuses lines shorter than 4 bytes.
 package memsim
 
 import (
@@ -33,19 +42,24 @@ import (
 	"hpcmetrics/internal/machine"
 )
 
-// cacheSet holds the lines of one set in MRU-first order.
-type cacheSet struct {
-	tags  []uint64
-	dirty []bool
-}
-
 type cacheLevel struct {
 	cfg      machine.CacheLevel
-	sets     []cacheSet
+	tags     []uint64 // ways-strided sets, MRU first (see the package doc)
 	setMask  uint64
 	ways     int
 	lineShft uint
 }
+
+const (
+	// dirtyBit marks a way whose line has been stored to.
+	dirtyBit = uint64(1) << 63
+	// emptyWay marks a way that holds no line; with bit 62 of every line
+	// number clear it equals no filled way, dirty or clean.
+	emptyWay = ^uint64(0)
+	// minLineBytes keeps bit 62 of every line number clear: a 64-bit
+	// address shifted right by at least two bits.
+	minLineBytes = 4
+)
 
 // Stats counts what happened to the reference stream.
 type Stats struct {
@@ -87,12 +101,16 @@ func New(cfg *machine.Config) (*Simulator, error) {
 	}
 	s := &Simulator{cfg: cfg}
 	for _, lc := range cfg.Caches {
+		if lc.LineBytes < minLineBytes {
+			return nil, fmt.Errorf("memsim: cache %s: line size %d below the %d-byte minimum", lc.Name, lc.LineBytes, minLineBytes)
+		}
 		lvl := &cacheLevel{cfg: lc, ways: lc.Assoc}
 		if lvl.ways <= 0 {
 			lvl.ways = int(lc.SizeBytes / lc.LineBytes) // fully associative
 		}
 		nSets := lc.SizeBytes / (lc.LineBytes * int64(lvl.ways))
-		lvl.sets = make([]cacheSet, nSets)
+		lvl.tags = make([]uint64, nSets*int64(lvl.ways))
+		lvl.clear()
 		lvl.setMask = uint64(nSets - 1)
 		for b := lc.LineBytes; b > 1; b >>= 1 {
 			lvl.lineShft++
@@ -117,10 +135,7 @@ func newStats(levels int) Stats {
 // Reset clears cache contents, prefetcher state, TLB, and statistics.
 func (s *Simulator) Reset() {
 	for _, lvl := range s.levels {
-		for i := range lvl.sets {
-			lvl.sets[i].tags = lvl.sets[i].tags[:0]
-			lvl.sets[i].dirty = lvl.sets[i].dirty[:0]
-		}
+		lvl.clear()
 	}
 	s.pf.reset()
 	if s.tlb != nil {
@@ -129,19 +144,36 @@ func (s *Simulator) Reset() {
 	s.stats = newStats(len(s.levels))
 }
 
+// clear empties every way.
+func (l *cacheLevel) clear() {
+	for i := range l.tags {
+		l.tags[i] = emptyWay
+	}
+}
+
+// set returns the ways of the set the line maps to.
+func (l *cacheLevel) set(line uint64) []uint64 {
+	base := int(line&l.setMask) * l.ways
+	return l.tags[base : base+l.ways : base+l.ways]
+}
+
 // lookup probes one level; on hit the line moves to MRU position and dirty
 // is ORed with store.
 func (l *cacheLevel) lookup(addr uint64, store bool) bool {
 	line := addr >> l.lineShft
-	set := &l.sets[line&l.setMask]
-	for i, tag := range set.tags {
-		if tag == line {
-			d := set.dirty[i] || store
+	set := l.set(line)
+	for i, w := range set {
+		if w&^dirtyBit == line {
+			if store {
+				w |= dirtyBit
+			}
 			// Move to front (MRU).
-			copy(set.tags[1:i+1], set.tags[:i])
-			copy(set.dirty[1:i+1], set.dirty[:i])
-			set.tags[0], set.dirty[0] = line, d
+			copy(set[1:i+1], set[:i])
+			set[0] = w
 			return true
+		}
+		if w == emptyWay {
+			return false // filled ways all precede the empty ones
 		}
 	}
 	return false
@@ -151,18 +183,14 @@ func (l *cacheLevel) lookup(addr uint64, store bool) bool {
 // It reports whether a dirty line was evicted.
 func (l *cacheLevel) fill(addr uint64, store bool) (evictedDirty bool) {
 	line := addr >> l.lineShft
-	set := &l.sets[line&l.setMask]
-	if len(set.tags) >= l.ways {
-		last := len(set.tags) - 1
-		evictedDirty = set.dirty[last]
-		set.tags = set.tags[:last]
-		set.dirty = set.dirty[:last]
+	set := l.set(line)
+	last := set[len(set)-1]
+	evictedDirty = last != emptyWay && last&dirtyBit != 0
+	copy(set[1:], set)
+	if store {
+		line |= dirtyBit
 	}
-	set.tags = append(set.tags, 0)
-	set.dirty = append(set.dirty, false)
-	copy(set.tags[1:], set.tags)
-	copy(set.dirty[1:], set.dirty)
-	set.tags[0], set.dirty[0] = line, store
+	set[0] = line
 	return evictedDirty
 }
 

@@ -12,11 +12,13 @@ import (
 )
 
 // referenceSimulateStream is the monolithic simulator the count/price
-// split replaced, kept verbatim as the reference the split must match
-// bit for bit: one fresh simulator, a warm-up quarter, then n references
-// priced from the simulator's own level configs.
+// split replaced, kept as the reference the split must match bit for
+// bit: one fresh simulator, a warm-up quarter, then n references priced
+// from the simulator's own level configs. It runs the reference cache
+// kernel (reference_kernel_test.go), so the comparison also holds the
+// production kernel to it.
 func referenceSimulateStream(cfg *machine.Config, spec access.StreamSpec, n int, opts TimingOpts) (Timing, error) {
-	sim, err := New(cfg)
+	sim, err := newReferenceSimulator(cfg)
 	if err != nil {
 		return Timing{}, err
 	}
@@ -37,7 +39,7 @@ func referenceSimulateStream(cfg *machine.Config, spec access.StreamSpec, n int,
 }
 
 // referenceTiming is the pricing body as it read inside Simulator.Timing.
-func referenceTiming(s *Simulator, opts TimingOpts) Timing {
+func referenceTiming(s *referenceSimulator, opts TimingOpts) Timing {
 	cfg := s.cfg
 	st := s.Stats()
 	nLevels := len(s.levels)
@@ -206,8 +208,8 @@ func TestSplitMatchesMonolithicOnPresets(t *testing.T) {
 }
 
 // randomMachine draws a valid machine: 1-3 cache levels of increasing
-// size, random lines and associativity (including direct-mapped and
-// fully associative), prefetcher and TLB, and random pricing fields.
+// size, random lines and associativity (including direct-mapped, 128-way
+// and fully associative), prefetcher and TLB, and random pricing fields.
 func randomMachine(rng *rand.Rand) *machine.Config {
 	cfg := &machine.Config{
 		Name:                   "random",
@@ -235,9 +237,12 @@ func randomMachine(rng *rand.Rand) *machine.Config {
 	for lvl := 0; lvl < 1+rng.IntN(3); lvl++ {
 		line := int64(32) << rng.IntN(3)
 		lines := size / line
-		assoc := []int{0, 1, 2, 4, 8}[rng.IntN(5)]
+		assoc := []int{0, 1, 2, 4, 8, 128}[rng.IntN(6)]
 		if assoc == 0 && lines > 512 {
 			assoc = 8 // keep fully associative levels small
+		}
+		if int64(assoc) > lines {
+			assoc = 0 // fewer lines than ways: one fully associative set
 		}
 		cfg.Caches = append(cfg.Caches, machine.CacheLevel{
 			Name: "L", SizeBytes: size, LineBytes: line, Assoc: assoc,
@@ -275,10 +280,14 @@ func TestSplitMatchesMonolithicOnGeneratedInputs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(12, 0x5EED))
 	memo := NewMemo()
+	assocs := map[int]bool{}
 	for i := 0; i < rounds; i++ {
 		cfg := randomMachine(rng)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("generator drew an invalid machine: %v", err)
+		}
+		for _, lc := range cfg.Caches {
+			assocs[lc.Assoc] = true
 		}
 		spec := randomSpec(rng)
 		if err := spec.Validate(); err != nil {
@@ -287,5 +296,63 @@ func TestSplitMatchesMonolithicOnGeneratedInputs(t *testing.T) {
 		n := 1 + rng.IntN(8_000)
 		checkSplit(t, memo, cfg, spec, n)
 		checkSplit(t, memo, cfg.Loaded(), spec, n)
+	}
+	for _, a := range []int{0, 1, 128} {
+		if !assocs[a] {
+			t.Errorf("no generated level had associativity %d", a)
+		}
+	}
+}
+
+// TestKernelMatchesReferenceAtAddressExtremes drives 4-byte lines, the
+// shortest New accepts, with addresses at both ends of the address
+// space, where line numbers come closest to the packed dirty bit and the
+// empty-way marker, and with stores so lines go dirty. Every level kind
+// is present: direct-mapped, 128-way and fully associative.
+func TestKernelMatchesReferenceAtAddressExtremes(t *testing.T) {
+	cfg := machine.MustPreset(machine.ARLOpteron)
+	cfg.Caches = []machine.CacheLevel{
+		{Name: "L1", SizeBytes: 64, LineBytes: 4, Assoc: 0, LatencyCycles: 1, BandwidthBytesPerCycle: 8},
+		{Name: "L2", SizeBytes: 1024, LineBytes: 4, Assoc: 1, LatencyCycles: 4, BandwidthBytesPerCycle: 4},
+		{Name: "L3", SizeBytes: 4096, LineBytes: 4, Assoc: 128, LatencyCycles: 9, BandwidthBytesPerCycle: 2},
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newReferenceSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(4, 0xED6E))
+	for i := 0; i < 50_000; i++ {
+		addr := rng.Uint64N(1 << 14)
+		if rng.IntN(2) == 0 {
+			addr = ^addr // the top of the address space
+		}
+		store := rng.IntN(3) == 0
+		sim.Access(addr, store)
+		ref.Access(addr, store)
+	}
+	if got, want := sim.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats %+v, reference %+v", got, want)
+	}
+	if want := ref.Stats(); want.Writebacks == 0 || want.ServedBy[0] == 0 || want.ServedBy[3] == 0 {
+		t.Fatalf("reference stats %+v: want hits, memory traffic and writebacks", want)
+	}
+}
+
+// TestNewRejectsLinesBelowTagMinimum pins the line-size floor the packed
+// tag layout needs.
+func TestNewRejectsLinesBelowTagMinimum(t *testing.T) {
+	for _, line := range []int64{1, 2} {
+		cfg := machine.MustPreset(machine.ARLOpteron)
+		cfg.Caches = []machine.CacheLevel{{Name: "L1", SizeBytes: 64, LineBytes: line, Assoc: 2, LatencyCycles: 1, BandwidthBytesPerCycle: 8}}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("line %d: machine invalid before memsim sees it: %v", line, err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("line %d: New accepted a line below %d bytes", line, minLineBytes)
+		}
 	}
 }

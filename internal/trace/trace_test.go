@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"hpcmetrics/internal/access"
@@ -185,5 +186,58 @@ func TestSampleSizeBounds(t *testing.T) {
 	mid := int64(2 << 20)
 	if got := sampleSize(mid); got != int(4*mid/access.ElemBytes) {
 		t.Errorf("mid ws sample = %d", got)
+	}
+}
+
+// TestFootprintSetAllocatesNoMoreThanLineMap replays every block of the
+// paper apps, at each of their CPU counts, through the tracer's detector
+// at the tracer's sample size and granularity, and checks that the
+// detector's bitset footprint set allocates no more bytes than a map
+// holding one key per distinct line, the footprint set it replaced.
+func TestFootprintSetAllocatesNoMoreThanLineMap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays every block of every study workload")
+	}
+	var before, after runtime.MemStats
+	allocated := func(fn func()) uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, tc := range apps.Registry() {
+		for _, procs := range tc.CPUCounts {
+			app, err := tc.Instance(procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, blk := range app.Blocks {
+				stream, err := access.NewStream(blk.Stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := sampleSize(blk.Stream.WorkingSetBytes)
+				var sum access.Summary
+				bitset := allocated(func() {
+					det := access.NewDetectorGranularity(0, tracerGranularity)
+					for i := 0; i < n; i++ {
+						det.Observe(stream.Next())
+					}
+					sum = det.Summary()
+				})
+				lines := sum.WorkingSetBytes / tracerGranularity
+				lineMap := allocated(func() {
+					m := make(map[uint64]struct{})
+					for l := int64(0); l < lines; l++ {
+						m[uint64(l)] = struct{}{}
+					}
+				})
+				if bitset > lineMap {
+					t.Errorf("%s@%d/%s: bitset allocated %d bytes, line map %d (%d lines)",
+						tc.ID(), procs, blk.Name, bitset, lineMap, lines)
+				}
+			}
+		}
 	}
 }
