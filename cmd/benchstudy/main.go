@@ -38,6 +38,7 @@ import (
 
 	"hpcmetrics/internal/analysis"
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/predictor"
 	"hpcmetrics/internal/study"
 )
 
@@ -127,7 +128,7 @@ func main() {
 	}
 
 	manifest := obs.NewManifest()
-	manifest.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", study.NoiseAmplitude)
+	manifest.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", predictor.NoiseAmplitude)
 	manifest.Options = map[string]any{
 		"apps":    opts.Apps,
 		"targets": opts.Targets,

@@ -61,6 +61,7 @@ import (
 
 	"hpcmetrics"
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/predictor"
 	"hpcmetrics/internal/report"
 	"hpcmetrics/internal/study"
 )
@@ -182,11 +183,11 @@ func run() error {
 	switch *ablate {
 	case "":
 	case "noise":
-		opts.DisableNoise = true
+		opts.Model.DisableNoise = true
 	case "loadedmem":
-		opts.IdleMemory = true
+		opts.Model.IdleMemory = true
 	case "dep":
-		opts.NoDependencyFlags = true
+		opts.Model.NoDependencyFlags = true
 	default:
 		return fmt.Errorf("unknown ablation %q", *ablate)
 	}
@@ -393,7 +394,7 @@ func exportObs(opts study.Options, spansPath, manifestPath, promPath, ablate str
 	}
 	if manifestPath != "" {
 		m := obs.NewManifest()
-		m.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", study.NoiseAmplitude)
+		m.Seed = fmt.Sprintf("fnv1a-noise-amp=%g", predictor.NoiseAmplitude)
 		m.Options = map[string]any{
 			"apps":         opts.Apps,
 			"targets":      opts.Targets,

@@ -3,9 +3,10 @@
 // the job fits on the simulated target — compares it against the
 // ground-truth observed time, reporting the paper's Equation 2 error.
 //
-// The computation runs through the shared internal/predictor Engine —
-// the same facade the study harness and the predictd server use — so a
-// number printed here is byte-identical to theirs for the same cell.
+// Base and observed times, traces and probe suites come from an
+// internal/predictor Predictor — the same layers the study harness and
+// the predictd server read — so a number printed here is byte-identical
+// to theirs for the same cell.
 //
 // Usage:
 //
@@ -80,7 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 func predict(ctx context.Context, appName, caseName string, procs int, target string, metricID int, all bool, tracePath string, stdout, stderr io.Writer) error {
-	var eng predictor.Engine
+	p := predictor.New(predictor.Config{})
 
 	tc, err := hpcmetrics.LookupTestCase(appName, caseName)
 	if err != nil {
@@ -91,10 +92,6 @@ func predict(ctx context.Context, appName, caseName string, procs int, target st
 			return err
 		}
 	}
-	app, err := tc.Instance(procs)
-	if err != nil {
-		return err
-	}
 
 	base := hpcmetrics.BaseMachine()
 	targetCfg, err := hpcmetrics.LookupMachine(target)
@@ -102,23 +99,10 @@ func predict(ctx context.Context, appName, caseName string, procs int, target st
 		return err
 	}
 
-	fmt.Fprintf(stderr, "probing %s and %s...\n", base.Name, targetCfg.Name)
-	basePr, err := eng.Probes(ctx, base)
-	if err != nil {
-		return err
-	}
-	targetPr, err := eng.Probes(ctx, targetCfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(stderr, "running %s at %d CPUs on the base system...\n", tc.ID(), procs)
-	baseRun, err := eng.Execute(ctx, base, app)
-	if err != nil {
-		return err
-	}
-
-	var tr *hpcmetrics.Trace
+	var (
+		baseSeconds float64
+		tr          *hpcmetrics.Trace
+	)
 	if tracePath != "" {
 		fmt.Fprintf(stderr, "loading trace from %s...\n", tracePath)
 		tr, err = persist.LoadTrace(tracePath)
@@ -128,21 +112,37 @@ func predict(ctx context.Context, appName, caseName string, procs int, target st
 		if err := validateTrace(tr, tc, procs); err != nil {
 			return err
 		}
+		fmt.Fprintf(stderr, "running %s at %d CPUs on the base system...\n", tc.ID(), procs)
+		baseSeconds, err = p.Observe(ctx, tc, procs, base)
 	} else {
-		fmt.Fprintln(stderr, "tracing on the base system...")
-		tr, err = eng.Trace(ctx, base, app)
-		if err != nil {
-			return err
-		}
+		fmt.Fprintf(stderr, "running and tracing %s at %d CPUs on the base system...\n", tc.ID(), procs)
+		baseSeconds, tr, err = p.Cell(ctx, tc, procs)
 	}
-
-	actual, fits, err := observeTarget(ctx, eng, targetCfg, app)
 	if err != nil {
 		return err
 	}
 
+	fmt.Fprintf(stderr, "probing %s and %s...\n", base.Name, targetCfg.Name)
+	basePr, err := p.Probes(ctx, base)
+	if err != nil {
+		return err
+	}
+	targetPr, err := p.Probes(ctx, targetCfg)
+	if err != nil {
+		return err
+	}
+
+	// A job too large for the target is not a failure — there is simply
+	// no observation, like the blank cells in the paper's appendix — but
+	// every other execution error is real and must not be swallowed.
+	actual, err := p.Observe(ctx, tc, procs, targetCfg)
+	fits := !errors.Is(err, hpcmetrics.ErrJobTooLarge)
+	if err != nil && fits {
+		return err
+	}
+
 	fmt.Fprintf(stdout, "%s at %d CPUs: base (%s) observed %.0f s\n",
-		tc.ID(), procs, base.Name, baseRun.Seconds)
+		tc.ID(), procs, base.Name, baseSeconds)
 
 	ids := []int{metricID}
 	if all {
@@ -153,8 +153,8 @@ func predict(ctx context.Context, appName, caseName string, procs int, target st
 		if err != nil {
 			return err
 		}
-		pred, err := eng.PredictMetric(ctx, m, metrics.Context{
-			Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
+		pred, err := predictor.Engine{}.PredictMetric(ctx, m, metrics.Context{
+			Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseSeconds,
 		})
 		if err != nil {
 			return err
@@ -185,19 +185,4 @@ func validateTrace(tr *hpcmetrics.Trace, tc hpcmetrics.AppTestCase, procs int) e
 			tr.App, tr.Case, tr.Procs, tc.ID(), procs)
 	}
 	return nil
-}
-
-// observeTarget runs the app on the target machine for ground truth. A
-// job too large for the machine is not a failure — there is simply no
-// observation, like the blank cells in the paper's appendix — but every
-// other execution error is real and must not be swallowed.
-func observeTarget(ctx context.Context, eng predictor.Engine, cfg *hpcmetrics.MachineConfig, app *hpcmetrics.App) (seconds float64, fits bool, err error) {
-	run, err := eng.Execute(ctx, cfg, app)
-	if errors.Is(err, hpcmetrics.ErrJobTooLarge) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return run.Seconds, true, nil
 }

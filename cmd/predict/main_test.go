@@ -9,75 +9,8 @@ import (
 
 	"hpcmetrics"
 	"hpcmetrics/internal/persist"
-	"hpcmetrics/internal/predictor"
 	"hpcmetrics/internal/trace"
 )
-
-// TestObserveTargetTooLarge: a job exceeding the machine's processor
-// count is a missing observation, not an error — the prediction still
-// prints, just without a ground-truth comparison.
-func TestObserveTargetTooLarge(t *testing.T) {
-	var eng predictor.Engine
-	cfg := hpcmetrics.Machine(hpcmetrics.ARLOpteron)
-	tc, err := hpcmetrics.LookupTestCase("avus", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(cfg.TotalProcs + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seconds, fits, err := observeTarget(context.Background(), eng, cfg, app)
-	if err != nil {
-		t.Fatalf("too-large job reported as error: %v", err)
-	}
-	if fits || seconds != 0 {
-		t.Fatalf("too-large job observed: fits=%v seconds=%g", fits, seconds)
-	}
-}
-
-// TestObserveTargetRealError is the regression test for the discarded
-// Execute error: any failure other than a too-large job must surface,
-// not silently leave the observation at zero.
-func TestObserveTargetRealError(t *testing.T) {
-	var eng predictor.Engine
-	tc, err := hpcmetrics.LookupTestCase("avus", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &hpcmetrics.MachineConfig{} // fails validation inside Execute
-	if _, _, err := observeTarget(context.Background(), eng, bad, app); err == nil {
-		t.Fatal("execution failure swallowed")
-	}
-}
-
-// TestObserveTargetFits: a job that fits returns its observed time.
-func TestObserveTargetFits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full-fidelity execution")
-	}
-	var eng predictor.Engine
-	cfg := hpcmetrics.Machine(hpcmetrics.ARLOpteron)
-	tc, err := hpcmetrics.LookupTestCase("rfcth", "standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seconds, fits, err := observeTarget(context.Background(), eng, cfg, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fits || seconds <= 0 {
-		t.Fatalf("fitting job not observed: fits=%v seconds=%g", fits, seconds)
-	}
-}
 
 // TestValidateTraceRejectsCaseMismatch is the regression test for the
 // trust gap where a reused trace was validated by application and
@@ -112,11 +45,9 @@ func TestValidateTraceRejectsCaseMismatch(t *testing.T) {
 
 // TestTraceFlagRejectsCaseMismatch drives the full CLI against a
 // persisted trace of the wrong test case and expects exit code 1 with
-// both cell identities in the diagnostic.
+// both cell identities in the diagnostic. The trace is validated before
+// any probe or execution runs, so the test is cheap enough for -short.
 func TestTraceFlagRejectsCaseMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("probes two machines and runs a base execution")
-	}
 	path := filepath.Join(t.TempDir(), "avus-standard.trace")
 	// One block keeps persist.LoadTrace from rejecting the file as empty,
 	// so the run reaches the identity validation under test.

@@ -13,7 +13,6 @@ import (
 
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/machine"
-	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/predictor"
 )
@@ -281,8 +280,8 @@ func TestServerQueueDeadline(t *testing.T) {
 }
 
 // TestServePredictParity is the serving-trust test: the JSON answer from
-// predictd — cold, then cached — must be bit-identical to the number the
-// predict CLI's own call sequence computes.
+// predictd — cold, then cached — must be bit-identical to a fresh
+// Predictor's, the layers the study and the predict CLI read too.
 func TestServePredictParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probes two machines and runs a base execution + trace")
@@ -350,55 +349,20 @@ func TestServePredictParity(t *testing.T) {
 		t.Errorf("predictd_not_modified_total = %d, want 1", got)
 	}
 
-	// Recompute the same cell the way cmd/predict does — direct Engine
-	// calls, no caches — and require bitwise equality through the JSON
-	// round trip.
-	var eng predictor.Engine
-	ctx := o.Inject(context.Background())
-	base := machine.Base()
-	target, err := machine.Preset(machine.ARLOpteron)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc, err := apps.Lookup("rfcth", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := tc.Instance(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	basePr, err := eng.Probes(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targetPr, err := eng.Probes(ctx, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRun, err := eng.Execute(ctx, base, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := eng.Trace(ctx, base, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := metrics.ByID(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := eng.PredictMetric(ctx, m, metrics.Context{
-		Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
+	// Recompute the same cell through a fresh Predictor — cold caches,
+	// the one definition of a cell the study and cmd/predict read — and
+	// require bitwise equality through the JSON round trip.
+	direct, err := predictor.New(predictor.Config{}).Predict(context.Background(), predictor.Request{
+		App: "rfcth", Procs: 16, Machine: machine.ARLOpteron, MetricID: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(direct) != math.Float64bits(warm.PredictedSeconds) {
-		t.Errorf("CLI-path computation %v differs from served %v", direct, warm.PredictedSeconds)
+	if math.Float64bits(direct.PredictedSeconds) != math.Float64bits(warm.PredictedSeconds) {
+		t.Errorf("fresh Predictor's prediction %v differs from served %v", direct.PredictedSeconds, warm.PredictedSeconds)
 	}
-	if math.Float64bits(baseRun.Seconds) != math.Float64bits(warm.BaseSeconds) {
-		t.Errorf("CLI-path base %v differs from served %v", baseRun.Seconds, warm.BaseSeconds)
+	if math.Float64bits(direct.BaseSeconds) != math.Float64bits(warm.BaseSeconds) {
+		t.Errorf("fresh Predictor's base %v differs from served %v", direct.BaseSeconds, warm.BaseSeconds)
 	}
 
 	// The rank endpoint reuses the warmed caches: no new trace runs.

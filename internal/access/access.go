@@ -66,10 +66,12 @@ type Mix struct {
 
 // Validate reports whether the mixture is a probability distribution.
 func (m Mix) Validate() error {
-	if m.Unit < 0 || m.Short < 0 || m.Random < 0 {
-		return fmt.Errorf("access: negative mix component %+v", m)
+	// Each check is written as !(in range) so a NaN, which fails every
+	// comparison, is refused rather than slipping past.
+	if !(m.Unit >= 0 && m.Short >= 0 && m.Random >= 0) {
+		return fmt.Errorf("access: negative or NaN mix component %+v", m)
 	}
-	if s := m.Unit + m.Short + m.Random; math.Abs(s-1) > 1e-9 {
+	if s := m.Unit + m.Short + m.Random; !(math.Abs(s-1) <= 1e-9) {
 		return fmt.Errorf("access: mix sums to %g, want 1", s)
 	}
 	return nil

@@ -47,19 +47,27 @@ func TestGenerateSeedChangesRandomComponent(t *testing.T) {
 }
 
 func TestGenerateRejectsBadSpecs(t *testing.T) {
+	nan := math.NaN()
 	bad := []StreamSpec{
 		{WorkingSetBytes: 0, Mix: Mix{Unit: 1}},
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                              // doesn't sum to 1
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                    // negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},           // stride 1 is not "short"
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},          // too long
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},            // bad fraction
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},              // negative spread
-		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                                  // negative ws
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},     // sums to 1.2
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}},    // tiny negative
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},            // spread overflows int64
-		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, HotFraction: 0.5, HotBytes: 4}, // hot region below one element
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.5}},                               // doesn't sum to 1
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 2, Random: -1}},                     // negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 1},            // stride 1 is not "short"
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, ShortStrideElems: 99},           // too long
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: 1.5},             // bad fraction
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: -2},               // negative spread
+		{WorkingSetBytes: -5, Mix: Mix{Unit: 1}},                                   // negative ws
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 0.4, Short: 0.4, Random: 0.4}},      // sums to 1.2
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1.0000001, Random: -0.0000001}},     // tiny negative
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: 1e30},             // spread overflows int64
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, HotFraction: 0.5, HotBytes: 4},  // hot region below one element
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: nan, Short: nan, Random: nan}},      // NaN mix
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1, Short: nan}},                     // one NaN component
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, StoreFraction: nan},             // NaN store fraction
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, HotFraction: nan},               // NaN hot fraction
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: nan},              // NaN spread
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: 1}, GatherSpread: math.Inf(1)},      // infinite spread
+		{WorkingSetBytes: 1024, Mix: Mix{Unit: math.Inf(1), Random: math.Inf(-1)}}, // infinite components
 	}
 	for i, spec := range bad {
 		if _, err := Generate(spec, 10); err == nil {

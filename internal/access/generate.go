@@ -44,13 +44,14 @@ func (s StreamSpec) Validate() error {
 	if s.ShortStrideElems < 0 || s.ShortStrideElems == 1 || s.ShortStrideElems > MaxShortStride {
 		return fmt.Errorf("access: short stride %d outside {0,2..%d}", s.ShortStrideElems, MaxShortStride)
 	}
-	if s.StoreFraction < 0 || s.StoreFraction > 1 {
+	// The float checks are written as !(in range) so a NaN is refused.
+	if !(s.StoreFraction >= 0 && s.StoreFraction <= 1) {
 		return fmt.Errorf("access: store fraction %g outside [0,1]", s.StoreFraction)
 	}
-	if s.GatherSpread < 0 {
-		return fmt.Errorf("access: negative gather spread %g", s.GatherSpread)
+	if !(s.GatherSpread >= 0 && s.GatherSpread <= math.MaxFloat64) {
+		return fmt.Errorf("access: gather spread %g not finite and non-negative", s.GatherSpread)
 	}
-	if s.HotFraction < 0 || s.HotFraction >= 1 {
+	if !(s.HotFraction >= 0 && s.HotFraction < 1) {
 		return fmt.Errorf("access: hot fraction %g outside [0,1)", s.HotFraction)
 	}
 	if s.HotBytes < 0 {

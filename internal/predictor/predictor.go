@@ -1,8 +1,9 @@
 // Package predictor is the answer to the paper's procurement question as
 // a callable facade: "how fast will application X's test case C run on
-// machine Y at Z processors, by metric M?" — one stateless Engine shared
-// by the study harness, the predict CLI, and the predictd server, plus a
-// memoizing, coalescing Predictor built for concurrent serving.
+// machine Y at Z processors, by metric M?" — a stateless Engine, plus a
+// memoizing, coalescing Predictor: the one place a (cell, machine) pair
+// becomes a base time, trace or observed time, read alike by the study
+// harness, the predict CLI and the predictd server.
 //
 // Probes and trace signatures are deterministic functions of their
 // inputs, so the Predictor caches them with exact hits, keyed
@@ -127,10 +128,12 @@ type cellValue struct {
 	tr          *trace.Trace
 }
 
-// observation is the memoized per-(cell, machine) ground truth.
+// observation is the memoized per-(cell, machine) ground truth. A job
+// too large for the machine is an answer, not a failure, so it is cached
+// too: tooLarge holds the executor's simexec.ErrTooLarge.
 type observation struct {
-	seconds float64
-	fits    bool
+	seconds  float64
+	tooLarge error
 }
 
 // Predictor serves predictions through the shared Engine with exact-hit
@@ -142,6 +145,7 @@ type Predictor struct {
 	eng     Engine
 	base    *machine.Config
 	workers int
+	model   Model
 
 	probeCache   *cache
 	cellCache    *cache
@@ -156,6 +160,9 @@ type Predictor struct {
 type Config struct {
 	// Workers bounds Rank's per-machine fan-out; 0 means GOMAXPROCS.
 	Workers int
+	// Model is the observation model; the zero value is the paper
+	// reproduction.
+	Model Model
 }
 
 // New returns a Predictor with empty caches, anchored to the study's
@@ -164,6 +171,7 @@ func New(cfg Config) *Predictor {
 	return &Predictor{
 		base:         machine.Base(),
 		workers:      cfg.Workers,
+		model:        cfg.Model,
 		probeCache:   newCache("predictor_probe_cache", "probes"),
 		cellCache:    newCache("predictor_cell_cache", "cell"),
 		predictCache: newCache("predictor_predict_cache", "predict"),
@@ -198,10 +206,6 @@ func (a *outcomeAgg) add(k hitKind) {
 		a.kind = k
 	}
 }
-
-// Engine returns the predictor's compute core — the same Engine the
-// study harness and the CLI use directly.
-func (p *Predictor) Engine() Engine { return p.eng }
 
 // resolved is a validated request.
 type resolved struct {
@@ -247,7 +251,7 @@ func (p *Predictor) probesFor(ctx context.Context, cfg *machine.Config) (*probes
 	return v.(*probes.Results), kind, nil
 }
 
-// cellFor returns the cell's memoized base run and trace.
+// cellFor returns the cell's memoized base time and trace.
 func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (cellValue, hitKind, error) {
 	key := fmt.Sprintf("%s@%d", tc.ID(), procs)
 	v, kind, err := p.cellCache.get(ctx, key, func(ctx context.Context) (any, error) {
@@ -255,7 +259,7 @@ func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (c
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		run, err := p.eng.Execute(ctx, p.base, app)
+		seconds, err := p.observe(ctx, key, app, p.base)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +267,12 @@ func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (c
 		if err != nil {
 			return nil, err
 		}
-		return cellValue{baseSeconds: run.Seconds, tr: tr}, nil
+		if p.model.NoDependencyFlags {
+			for i := range tr.Blocks {
+				tr.Blocks[i].ILPLimited = false
+			}
+		}
+		return cellValue{baseSeconds: seconds, tr: tr}, nil
 	})
 	if err != nil {
 		return cellValue{}, kind, err
@@ -273,25 +282,51 @@ func (p *Predictor) cellFor(ctx context.Context, tc apps.TestCase, procs int) (c
 
 // observeFor returns the cell's memoized ground truth on one machine.
 func (p *Predictor) observeFor(ctx context.Context, tc apps.TestCase, procs int, target *machine.Config) (observation, hitKind, error) {
-	key := fmt.Sprintf("%s@%d|%s", tc.ID(), procs, target.Name)
-	v, kind, err := p.observeCache.get(ctx, key, func(ctx context.Context) (any, error) {
+	cell := fmt.Sprintf("%s@%d", tc.ID(), procs)
+	v, kind, err := p.observeCache.get(ctx, cell+"|"+target.Name, func(ctx context.Context) (any, error) {
 		app, err := tc.Instance(procs)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		run, err := p.eng.Execute(ctx, target, app)
+		seconds, err := p.observe(ctx, cell, app, target)
 		if errors.Is(err, simexec.ErrTooLarge) {
-			return observation{}, nil
+			return observation{tooLarge: err}, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		return observation{seconds: run.Seconds, fits: true}, nil
+		return observation{seconds: seconds}, nil
 	})
 	if err != nil {
 		return observation{}, kind, err
 	}
 	return v.(observation), kind, nil
+}
+
+// Probes returns the machine's probe suite, memoized by machine name.
+func (p *Predictor) Probes(ctx context.Context, cfg *machine.Config) (*probes.Results, error) {
+	pr, _, err := p.probesFor(p.counts.Inject(ctx), cfg)
+	return pr, err
+}
+
+// Cell returns the cell's observed base-system time and its trace on the
+// base system, memoized per (app, case, procs). The trace is shared with
+// the cache and must not be modified.
+func (p *Predictor) Cell(ctx context.Context, tc apps.TestCase, procs int) (float64, *trace.Trace, error) {
+	c, _, err := p.cellFor(p.counts.Inject(ctx), tc, procs)
+	return c.baseSeconds, c.tr, err
+}
+
+// Observe returns the cell's observed time on cfg, memoized per (cell,
+// machine name). A job too large for cfg returns an error wrapping
+// simexec.ErrTooLarge — a missing observation, like the paper's blank
+// appendix cells.
+func (p *Predictor) Observe(ctx context.Context, tc apps.TestCase, procs int, cfg *machine.Config) (float64, error) {
+	o, _, err := p.observeFor(p.counts.Inject(ctx), tc, procs, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return o.seconds, o.tooLarge
 }
 
 // Predict answers one request. Identical concurrent cold requests are
@@ -343,12 +378,12 @@ func (p *Predictor) Predict(ctx context.Context, req Request) (*Result, error) {
 			return nil, err
 		}
 		agg.add(kind)
-		if o.fits {
+		res.Fits = o.tooLarge == nil
+		if res.Fits {
 			res.HasObserved = true
 			res.ObservedSeconds = o.seconds
 			res.SignedErrorPct = metrics.SignedError(res.PredictedSeconds, o.seconds)
 		}
-		res.Fits = o.fits
 	}
 	res.Outcome = agg.kind.String()
 	res.Cached = agg.kind.cached()

@@ -13,6 +13,7 @@ import (
 	"hpcmetrics/internal/machine"
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/simexec"
 )
 
 // herdRequest is the cell every heavy test in this file predicts: the
@@ -141,9 +142,9 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 		t.Errorf("repeat request ran the metric again: predictor_metric_runs_total = %d", got)
 	}
 
-	// Parity with the CLI path: cmd/predict drives the same Engine
-	// methods directly (probe, execute, trace, predict); the facade's
-	// cached answer must match that computation bit for bit.
+	// The facade's cached answer must match the model computed by hand
+	// from direct Engine calls (probe, execute, trace, predict), the base
+	// run scaled by its observation noise, bit for bit.
 	var eng Engine
 	base := machine.Base()
 	target, err := machine.Preset(herdRequest.Machine)
@@ -178,14 +179,18 @@ func TestPredictCoalescesColdHerd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseSeconds := baseRun.Seconds * observationNoise("rfcth-standard@16", base.Name)
 	direct, err := eng.PredictMetric(ctx, m, metrics.Context{
-		Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseRun.Seconds,
+		Trace: tr, Base: basePr, Target: targetPr, BaseSeconds: baseSeconds,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(direct) != want {
 		t.Errorf("direct Engine computation %v differs from facade's cached %v", direct, res.PredictedSeconds)
+	}
+	if math.Float64bits(baseSeconds) != math.Float64bits(res.BaseSeconds) {
+		t.Errorf("direct base time %v differs from facade's %v", baseSeconds, res.BaseSeconds)
 	}
 }
 
@@ -247,6 +252,99 @@ func TestResolveRejectsBadRequests(t *testing.T) {
 		App: "avus", MetricID: 9, Machines: []string{machine.ARLOpteron, "CRAY_XMP"},
 	}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("rank with one bad machine: err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestObserveTooLarge: a job exceeding the machine's processor count is a
+// missing observation, reported as an error wrapping simexec.ErrTooLarge
+// so a caller can tell it from a failure — and, being an answer rather
+// than a failure, it is cached.
+func TestObserveTooLarge(t *testing.T) {
+	o := obs.New()
+	ctx := o.Inject(context.Background())
+	p := New(Config{})
+	cfg := machine.MustPreset(machine.ARLOpteron)
+	tc, err := apps.Lookup("avus", "standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		seconds, err := p.Observe(ctx, tc, cfg.TotalProcs+1, cfg)
+		if !errors.Is(err, simexec.ErrTooLarge) {
+			t.Fatalf("too-large job: err = %v, want ErrTooLarge", err)
+		}
+		if seconds != 0 {
+			t.Fatalf("too-large job observed %g s", seconds)
+		}
+	}
+	if got := o.Metrics.Counter("predictor_exec_runs_total").Value(); got != 1 {
+		t.Errorf("predictor_exec_runs_total = %d, want 1 (the too-large answer is cached)", got)
+	}
+}
+
+// TestObserveRealError: any execution failure other than a too-large job
+// must surface, not silently leave the observation at zero.
+func TestObserveRealError(t *testing.T) {
+	p := New(Config{})
+	tc, err := apps.Lookup("avus", "standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &machine.Config{} // fails validation inside Execute
+	_, err = p.Observe(context.Background(), tc, 32, bad)
+	if err == nil || errors.Is(err, simexec.ErrTooLarge) {
+		t.Fatalf("execution failure reported as %v, want a real error", err)
+	}
+}
+
+// TestObserveFits: a job that fits returns its executor time scaled by
+// the cell's observation noise, or unscaled with the noise ablated.
+func TestObserveFits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three full-fidelity executions")
+	}
+	ctx := context.Background()
+	cfg := machine.MustPreset(machine.ARLOpteron)
+	tc, err := apps.Lookup("rfcth", "standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := tc.Instance(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Engine{}.Execute(ctx, cfg, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		model Model
+		want  float64
+	}{
+		{Model{}, run.Seconds * observationNoise("rfcth-standard@16", cfg.Name)},
+		{Model{DisableNoise: true}, run.Seconds},
+	} {
+		seconds, err := New(Config{Model: c.model}).Observe(ctx, tc, 16, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seconds <= 0 || math.Float64bits(seconds) != math.Float64bits(c.want) {
+			t.Errorf("model %+v: observed %v, want %v", c.model, seconds, c.want)
+		}
+	}
+}
+
+func TestObservationNoiseProperties(t *testing.T) {
+	n1 := observationNoise("a-b@8", "m1")
+	n2 := observationNoise("a-b@8", "m1")
+	if n1 != n2 {
+		t.Fatal("noise not deterministic")
+	}
+	if n1 < 1-NoiseAmplitude || n1 > 1+NoiseAmplitude {
+		t.Fatalf("noise %g outside band", n1)
+	}
+	if observationNoise("a-b@8", "m2") == n1 {
+		t.Fatal("noise identical across machines")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -181,15 +180,17 @@ func TestStudyStallReclaimedByDeadline(t *testing.T) {
 	}
 }
 
-// execSpanCount reads how many study/observe/exec spans a traced run
-// emitted — the direct measure of re-executed simulation work.
+// execSpanCount reads how many executor spans a traced run emitted under
+// its cells (base runs and target runs alike) — the direct measure of
+// re-executed simulation work.
 func execSpanCount(o *obs.Obs) int64 {
+	var n int64
 	for _, st := range o.Tracer.PhaseStats() {
-		if st.Path == "study/observe/exec" {
-			return st.Count
+		if strings.HasPrefix(st.Path, "study/observe/") && strings.HasSuffix(st.Path, "/exec") {
+			n += st.Count
 		}
 	}
-	return 0
+	return n
 }
 
 // TestStudyCheckpointResume kills a study mid-run and resumes it: the
@@ -308,30 +309,5 @@ func TestStudyResumeRejectsDifferentFaultSeed(t *testing.T) {
 	// round-trips are covered by TestStudyCheckpointResume).
 	if _, err := persist.OpenCheckpoint(path, a.optionsTag()); err != nil {
 		t.Errorf("identical fault plan rejected at journal open: %v", err)
-	}
-}
-
-// TestForEachIndexedJoinsAllErrors: a multi-worker failure reports every
-// worker's error (satellite of the robustness PR) — errors.Is finds each
-// one, and the joined message lists the lowest index first.
-func TestForEachIndexedJoinsAllErrors(t *testing.T) {
-	errA := errors.New("index 0 failed")
-	errB := errors.New("index 1 failed")
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := forEachIndexed(context.Background(), 2, 2, func(ctx context.Context, i int) error {
-		barrier.Done()
-		barrier.Wait()
-		if i == 0 {
-			return errA
-		}
-		return errB
-	})
-	if !errors.Is(err, errA) || !errors.Is(err, errB) {
-		t.Fatalf("err = %v, want both worker errors joined", err)
-	}
-	msg := err.Error()
-	if strings.Index(msg, "index 0") > strings.Index(msg, "index 1") {
-		t.Errorf("joined message %q does not list the lowest index first", msg)
 	}
 }

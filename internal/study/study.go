@@ -24,7 +24,6 @@ import (
 	"hpcmetrics/internal/apps"
 	"hpcmetrics/internal/faults"
 	"hpcmetrics/internal/machine"
-	"hpcmetrics/internal/memsim"
 	"hpcmetrics/internal/metrics"
 	"hpcmetrics/internal/obs"
 	"hpcmetrics/internal/par"
@@ -131,31 +130,7 @@ func (r *Results) SkipCounts() map[SkipReason]int {
 	return out
 }
 
-// NoiseAmplitude is the deterministic stand-in for run-to-run variability
-// of real observed times (OS jitter, placement, I/O): every recorded
-// observation is scaled by a factor in [1-amp, 1+amp] hashed from its
-// (cell, machine) identity. The paper's observed times carry such noise
-// inherently; without it, a target machine that happens to resemble the
-// base would be predicted with implausibly perfect accuracy.
-const NoiseAmplitude = 0.10
-
-// observationNoise returns the deterministic noise factor for one cell on
-// one machine.
-func observationNoise(key Key, machineName string) float64 {
-	var h uint64 = 1469598103934665603 // FNV-1a over "cell|machine"
-	for _, s := range []string{key.String(), "|", machineName} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	u := float64(h>>11) / float64(uint64(1)<<53) // uniform [0,1)
-	return 1 + NoiseAmplitude*(2*u-1)
-}
-
-// Options configures a run. The ablation switches exist to quantify how
-// much each model ingredient contributes to the study's error structure
-// (DESIGN.md calls these out); all are off for the paper reproduction.
+// Options configures a run.
 type Options struct {
 	// Progress, when non-nil, receives one line per completed stage.
 	// Parallel stages emit their per-item lines in completion order;
@@ -172,14 +147,10 @@ type Options struct {
 	// Results are byte-identical at any worker count: every stage writes
 	// into indexed slots, so scheduling never reorders aggregation.
 	Workers int
-	// DisableNoise turns off the deterministic observation noise.
-	DisableNoise bool
-	// IdleMemory runs applications on idle-node memory, removing the
-	// probe-vs-production loaded-memory gap.
-	IdleMemory bool
-	// NoDependencyFlags blinds the static analyzer, so Metric #9
-	// degenerates to Metric #8.
-	NoDependencyFlags bool
+	// Model selects the observation model every base time, trace and
+	// observed time is computed under; the zero value is the paper
+	// reproduction, and each switch is an ablation.
+	Model predictor.Model
 	// Obs, when non-nil, collects spans and metrics for the run: every
 	// phase becomes a span, and the worker pool reports occupancy, queue
 	// wait, and cell completion/skip counters. Nil disables collection
@@ -290,13 +261,6 @@ func (o Options) wantsApp(id string) bool {
 	return false
 }
 
-func (o Options) noise(key Key, machineName string) float64 {
-	if o.DisableNoise {
-		return 1
-	}
-	return observationNoise(key, machineName)
-}
-
 // retryPolicy is the per-unit policy every probe/trace/observe cell
 // runs under. Backoff pacing is fixed; the budget and deadline come
 // from the options.
@@ -344,17 +308,8 @@ func (o Options) optionsTag() string {
 func (o Options) baseTag() string {
 	return fmt.Sprintf("apps=%s;targets=%s;noise=%t;idle=%t;nodeps=%t;attempts=%d;timeout=%s;faults=%s",
 		strings.Join(o.Apps, ","), strings.Join(o.Targets, ","),
-		o.DisableNoise, o.IdleMemory, o.NoDependencyFlags,
+		o.Model.DisableNoise, o.Model.IdleMemory, o.Model.NoDependencyFlags,
 		o.MaxAttempts, o.CellTimeout, o.Faults.Fingerprint())
-}
-
-// idle returns the machine with its loaded-memory gap removed, for the
-// IdleMemory ablation.
-func idle(cfg *machine.Config) *machine.Config {
-	out := cfg.Clone()
-	out.MemLoadedFraction = 1
-	out.MemLoadedLatencyFactor = 1
-	return out
 }
 
 // studyTargets resolves the prediction-target set: the full paper grid,
@@ -403,21 +358,6 @@ func (l *progressLog) logf(format string, args ...any) {
 	fmt.Fprintf(l.w, format+"\n", args...)
 }
 
-// engine is the shared compute facade (internal/predictor): the study,
-// the predict CLI, and the predictd server all run their probe,
-// execution, trace, and metric computations through the same Engine, so
-// a number produced by any one of them is byte-identical to the others'.
-var engine predictor.Engine
-
-// forEachIndexed is the study's view of the shared ctx-aware worker pool
-// (internal/par), reporting under the study_* metric names: the
-// study_workers_busy gauge tracks occupancy (its peak is the effective
-// parallelism), study_queue_wait_seconds records how long each job sat
-// between enqueue and pickup, and study_jobs_total counts dispatches.
-func forEachIndexed(ctx context.Context, n, workers int, work func(ctx context.Context, i int) error) error {
-	return par.ForEachIndexed(ctx, n, workers, "study", work)
-}
-
 // Run executes the full study.
 func Run(opts Options) (*Results, error) {
 	return RunContext(context.Background(), opts)
@@ -442,9 +382,6 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	ctx = opts.Obs.Inject(ctx)
 	ctx = opts.Faults.Inject(ctx)
-	// One count memo per run: machines sharing a counter geometry share
-	// their probe and executor stream counts, and a fresh run recomputes.
-	ctx = memsim.NewMemo().Inject(ctx)
 	ctx, studySpan := obs.StartSpan(ctx, "study")
 	defer studySpan.End()
 	base := machine.Base()
@@ -454,6 +391,10 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	}
 	plog := newProgressLog(opts.Progress)
 	meter := opts.Obs.Meter()
+	// One Predictor per run computes every probe suite, base time, trace
+	// and observation: its memsim count memo lets machines sharing a
+	// counter geometry share stream counts, and a fresh run recomputes.
+	p := predictor.New(predictor.Config{Model: opts.Model})
 
 	res := &Results{
 		BaseName:  base.Name,
@@ -516,7 +457,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 	// runs on machine configs, not probe results.
 	all := append([]*machine.Config{base}, targets...)
 	prs := make([]*probes.Results, len(all))
-	err = forEachIndexed(ctx, len(all), opts.Workers, func(ctx context.Context, i int) error {
+	err = par.ForEachIndexed(ctx, len(all), opts.Workers, "study", func(ctx context.Context, i int) error {
 		if !opts.Shard.owns(i) {
 			return nil
 		}
@@ -530,7 +471,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		var pr *probes.Results
 		_, err := retry.Do(ctx, rp, "probe|"+name, func(ctx context.Context) error {
 			var err error
-			pr, err = engine.Probes(ctx, all[i])
+			pr, err = p.Probes(ctx, all[i])
 			return err
 		})
 		if err != nil {
@@ -553,14 +494,8 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		}
 	}
 
-	execTarget := func(cfg *machine.Config) *machine.Config {
-		if opts.IdleMemory {
-			return idle(cfg)
-		}
-		return cfg
-	}
-
-	// Stage 2: instantiate cells, observe ground truth, trace on base.
+	// Stage 2: observe each cell on the base (base time and trace) and on
+	// every target.
 	// Each cell is one pool job; slots keep aggregation in paper order no
 	// matter which worker finishes first.
 	type cellJob struct {
@@ -647,7 +582,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		}
 	}
 	slots := make([]cellOut, len(cellJobs))
-	err = forEachIndexed(ctx, len(order), opts.Workers, func(ctx context.Context, j int) error {
+	err = par.ForEachIndexed(ctx, len(order), opts.Workers, "study", func(ctx context.Context, j int) error {
 		i := order[j]
 		job := cellJobs[i]
 		key := job.key
@@ -665,14 +600,10 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 			plog.logf("resumed %s from checkpoint (%d observations)", key, len(slots[i].obs))
 			return nil
 		}
-		app, err := job.tc.Instance(job.procs)
-		if err != nil {
-			return fmt.Errorf("study: %s: %w", key, err)
-		}
-
-		// Every unit below (base run, trace, per-target observation) is
-		// one retryable attempt sequence under the options' budget and
-		// deadline; retries counts the extras for the cell's span.
+		// Every unit below (the base time and trace, then each target's
+		// observation) is one retryable attempt sequence under the
+		// options' budget and deadline; retries counts the extras for the
+		// cell's span.
 		var retries int
 		runUnit := func(site string, op func(context.Context) error) (int, error) {
 			attempts, err := retry.Do(ctx, rp, site, op)
@@ -683,11 +614,16 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		}
 
 		var out cellOut
-		// cellFailed downgrades a base/trace failure to a full row of
-		// skips: without them no target can be predicted, but losing one
-		// cell's row must not lose the run. Parent cancellation still
-		// aborts.
-		cellFailed := func(attempts int, err error) error {
+		attempts, err := runUnit("cell|"+key.String(), func(ctx context.Context) error {
+			var err error
+			out.baseSeconds, out.tr, err = p.Cell(ctx, job.tc, job.procs)
+			return err
+		})
+		failed := err != nil
+		if failed {
+			// Without a base time and trace no target can be predicted,
+			// but losing one cell's row must not lose the run: the row
+			// becomes skips. Parent cancellation still aborts.
 			if ctx.Err() != nil {
 				return fmt.Errorf("study: %s: %w", key, err)
 			}
@@ -698,50 +634,13 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 			}
 			countSkip(reason, int64(len(targets)))
 			plog.logf("cell %s failed after %d attempts: %v", key, attempts, err)
-			return nil
-		}
-
-		var baseRun *simexec.Result
-		attempts, err := runUnit("base|"+key.String(), func(ctx context.Context) error {
-			r, err := engine.Execute(ctx, execTarget(base), app)
-			baseRun = r
-			return err
-		})
-		failed := err != nil
-		if failed {
-			if aerr := cellFailed(attempts, err); aerr != nil {
-				return aerr
-			}
-		}
-		if !failed {
-			var tr *trace.Trace
-			attempts, err = runUnit("trace|"+key.String(), func(ctx context.Context) error {
-				t, err := engine.Trace(ctx, base, app)
-				tr = t
-				return err
-			})
-			if err != nil {
-				failed = true
-				if aerr := cellFailed(attempts, err); aerr != nil {
-					return aerr
-				}
-			} else {
-				if opts.NoDependencyFlags {
-					for i := range tr.Blocks {
-						tr.Blocks[i].ILPLimited = false
-					}
-				}
-				out.baseSeconds = baseRun.Seconds * opts.noise(key, base.Name)
-				out.tr = tr
-			}
-		}
-		if !failed {
+		} else {
 			out.obs = make(map[string]float64, len(targets))
 			for _, cfg := range targets {
-				var run *simexec.Result
+				var seconds float64
 				attempts, err := runUnit("observe|"+key.String()+"|"+cfg.Name, func(ctx context.Context) error {
-					r, err := engine.Execute(ctx, execTarget(cfg), app)
-					run = r
+					var err error
+					seconds, err = p.Observe(ctx, job.tc, job.procs, cfg)
 					return err
 				})
 				switch {
@@ -769,7 +668,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 					plog.logf("observation %s on %s failed after %d attempts: %v", key, cfg.Name, attempts, err)
 					continue
 				}
-				out.obs[cfg.Name] = run.Seconds * opts.noise(key, cfg.Name)
+				out.obs[cfg.Name] = seconds
 				completed.Inc()
 			}
 		}
@@ -781,7 +680,7 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 			return fmt.Errorf("study: %w", err)
 		}
 		if !failed {
-			plog.logf("observed %s on %d systems (base %.0f s)", key, len(out.obs), baseRun.Seconds)
+			plog.logf("observed %s on %d systems (base %.0f s)", key, len(out.obs), out.baseSeconds)
 		}
 		return nil
 	})
@@ -821,21 +720,18 @@ func RunContext(ctx context.Context, opts Options) (*Results, error) {
 		if mspan != nil {
 			mspan.Annotate("metric", m.Label())
 		}
-		predictLatency := meter.Histogram(fmt.Sprintf("study_predict_seconds_metric_%02d", m.ID))
 		for _, key := range res.Cells {
 			for _, name := range res.TargetNames {
 				actual, ok := res.Observed[key][name]
 				if !ok {
 					continue
 				}
-				t0 := predictLatency.StartTimer()
-				pred, err := engine.PredictMetric(mctx, m, metrics.Context{
+				pred, err := predictor.Engine{}.PredictMetric(mctx, m, metrics.Context{
 					Trace:       res.Traces[key],
 					Base:        basePr,
 					Target:      res.Probes[name],
 					BaseSeconds: res.BaseTimes[key],
 				})
-				predictLatency.ObserveSince(t0)
 				if err != nil {
 					mspan.End()
 					return nil, fmt.Errorf("study: metric %s on %s/%s: %w", m.Label(), key, name, err)

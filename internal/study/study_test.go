@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hpcmetrics/internal/obs"
+	"hpcmetrics/internal/predictor"
 )
 
 // sliceOptions is the 2-app × 2-machine study slice used by the -short
@@ -266,14 +267,21 @@ func TestStudySliceShort(t *testing.T) {
 	for _, st := range opts.Obs.Tracer.PhaseStats() {
 		counts[st.Path] = st.Count
 	}
+	// Probes, base runs, traces and target runs are computed inside the
+	// predictor's cache layers, so each sits under its layer's compute
+	// span.
 	wantCounts := map[string]int64{
-		"study":               1,
-		"study/probe":         3, // base + 2 targets
-		"study/observe":       6, // one per cell
-		"study/observe/trace": 6,
-		"study/observe/exec":  18, // per cell: base + 2 targets
-		"study/predict":       9,  // one per metric
-		"study/balanced":      1,
+		"study":                              1,
+		"study/probes.compute":               3,
+		"study/probes.compute/probe":         3, // base + 2 targets
+		"study/observe":                      6, // one per cell
+		"study/observe/cell.compute":         6,
+		"study/observe/cell.compute/trace":   6,
+		"study/observe/cell.compute/exec":    6,  // the base run
+		"study/observe/observe.compute":      12, // per cell: 2 targets
+		"study/observe/observe.compute/exec": 12,
+		"study/predict":                      9, // one per metric
+		"study/balanced":                     1,
 	}
 	for path, want := range wantCounts {
 		if counts[path] != want {
@@ -432,21 +440,6 @@ func TestUnknownTargetRejected(t *testing.T) {
 	}
 }
 
-func TestObservationNoiseProperties(t *testing.T) {
-	k := Key{App: "a", Case: "b", Procs: 8}
-	n1 := observationNoise(k, "m1")
-	n2 := observationNoise(k, "m1")
-	if n1 != n2 {
-		t.Fatal("noise not deterministic")
-	}
-	if n1 < 1-NoiseAmplitude || n1 > 1+NoiseAmplitude {
-		t.Fatalf("noise %g outside band", n1)
-	}
-	if observationNoise(k, "m2") == n1 {
-		t.Fatal("noise identical across machines")
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	k := Key{App: "avus", Case: "large", Procs: 384}
 	if k.String() != "avus-large@384" || k.AppID() != "avus-large" {
@@ -495,9 +488,8 @@ func TestAblationOptions(t *testing.T) {
 	// A filtered, noise-free, dependency-blind study: cheap (one test
 	// case) and checks all three ablation switches.
 	res, err := Run(Options{
-		Apps:              []string{"rfcth-standard"},
-		DisableNoise:      true,
-		NoDependencyFlags: true,
+		Apps:  []string{"rfcth-standard"},
+		Model: predictor.Model{DisableNoise: true, NoDependencyFlags: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -534,11 +526,11 @@ func TestIdleMemoryAblationChangesObservations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a partial study")
 	}
-	loaded, err := Run(Options{Apps: []string{"overflow2-standard"}, DisableNoise: true})
+	loaded, err := Run(Options{Apps: []string{"overflow2-standard"}, Model: predictor.Model{DisableNoise: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := Run(Options{Apps: []string{"overflow2-standard"}, DisableNoise: true, IdleMemory: true})
+	idle, err := Run(Options{Apps: []string{"overflow2-standard"}, Model: predictor.Model{DisableNoise: true, IdleMemory: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,75 +547,69 @@ func TestIdleMemoryAblationChangesObservations(t *testing.T) {
 	}
 }
 
-func TestForEachIndexedZeroItems(t *testing.T) {
-	called := false
-	err := forEachIndexed(context.Background(), 0, 4, func(ctx context.Context, i int) error {
-		called = true
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("n=0 returned %v", err)
+// TestStudyMatchesPredictor pins the one definition of a cell: for every
+// prediction of a study slice, a fresh Predictor under the same model
+// answers the study's base time, observed time and prediction bit for
+// bit — with the paper's model and with two ablations on.
+func TestStudyMatchesPredictor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a study slice and recomputes it through a Predictor, twice")
 	}
-	if called {
-		t.Fatal("work called with no items")
-	}
-}
-
-func TestForEachIndexedMoreWorkersThanItems(t *testing.T) {
-	const n = 3
-	var mu sync.Mutex
-	counts := make([]int, n)
-	err := forEachIndexed(context.Background(), n, 16, func(ctx context.Context, i int) error {
-		mu.Lock()
-		counts[i]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("index %d ran %d times", i, c)
+	for _, model := range []predictor.Model{{}, {IdleMemory: true, NoDependencyFlags: true}} {
+		res, err := Run(Options{Apps: []string{"rfcth-standard"}, Targets: []string{"ARL_Opteron"}, Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(res.Predictions), 9*3; got != want {
+			t.Fatalf("model %+v: %d predictions, want %d", model, got, want)
+		}
+		p := predictor.New(predictor.Config{Model: model})
+		for _, pr := range res.Predictions {
+			got, err := p.Predict(context.Background(), predictor.Request{
+				App: pr.Key.App, Case: pr.Key.Case, Procs: pr.Key.Procs,
+				Machine: pr.Machine, MetricID: pr.MetricID, Observed: true,
+			})
+			if err != nil {
+				t.Fatalf("model %+v: %s on %s: %v", model, pr.Key, pr.Machine, err)
+			}
+			for _, c := range []struct {
+				what      string
+				study, pd float64
+			}{
+				{"base", res.BaseTimes[pr.Key], got.BaseSeconds},
+				{"observed", res.Observed[pr.Key][pr.Machine], got.ObservedSeconds},
+				{"predicted", pr.Predicted, got.PredictedSeconds},
+			} {
+				if math.Float64bits(c.study) != math.Float64bits(c.pd) {
+					t.Errorf("model %+v: %s on %s metric %d: study %s %v, predictor %v",
+						model, pr.Key, pr.Machine, pr.MetricID, c.what, c.study, c.pd)
+				}
+			}
 		}
 	}
 }
 
-func TestForEachIndexedParentCancelMidFeed(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ran := 0
-	err := forEachIndexed(ctx, 100, 1, func(ctx context.Context, i int) error {
-		ran++
-		if i == 2 {
-			cancel() // parent cancellation arrives while the feed loop runs
+// TestBaseTagText pins the checkpoint options tag for every ablation
+// combination, so journals written before the ablation switches moved
+// into predictor.Model still resume.
+func TestBaseTagText(t *testing.T) {
+	for _, c := range []struct {
+		model predictor.Model
+		want  string
+	}{
+		{predictor.Model{}, "noise=false;idle=false;nodeps=false"},
+		{predictor.Model{DisableNoise: true}, "noise=true;idle=false;nodeps=false"},
+		{predictor.Model{IdleMemory: true}, "noise=false;idle=true;nodeps=false"},
+		{predictor.Model{NoDependencyFlags: true}, "noise=false;idle=false;nodeps=true"},
+		{predictor.Model{DisableNoise: true, IdleMemory: true}, "noise=true;idle=true;nodeps=false"},
+		{predictor.Model{DisableNoise: true, NoDependencyFlags: true}, "noise=true;idle=false;nodeps=true"},
+		{predictor.Model{IdleMemory: true, NoDependencyFlags: true}, "noise=false;idle=true;nodeps=true"},
+		{predictor.Model{DisableNoise: true, IdleMemory: true, NoDependencyFlags: true}, "noise=true;idle=true;nodeps=true"},
+	} {
+		o := Options{Apps: []string{"avus-standard"}, Targets: []string{"ARL_Opteron", "MHPCC_P3"}, Model: c.model, MaxAttempts: 3}
+		want := "apps=avus-standard;targets=ARL_Opteron,MHPCC_P3;" + c.want + ";attempts=3;timeout=0s;faults="
+		if got := o.baseTag(); got != want {
+			t.Errorf("model %+v: baseTag = %q, want %q", c.model, got, want)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran >= 100 {
-		t.Fatal("cancellation did not stop dispatch")
-	}
-}
-
-func TestForEachIndexedLowestErrorWins(t *testing.T) {
-	errA := errors.New("index 0 failed")
-	errB := errors.New("index 1 failed")
-	// A barrier holds both workers until each has its job, so both errors
-	// are in flight concurrently; the lowest index must still win.
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := forEachIndexed(context.Background(), 2, 2, func(ctx context.Context, i int) error {
-		barrier.Done()
-		barrier.Wait()
-		if i == 0 {
-			return errA
-		}
-		return errB
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want the index-0 error", err)
 	}
 }
